@@ -8,6 +8,18 @@
 
 namespace seer::benchx {
 
+namespace {
+
+/**
+ * Egg-runner time limit for every flow: high enough that saturation
+ * always stops on its iteration and node budgets, so the tables depend
+ * only on the input, never on host speed or load (the golden
+ * differentials do the same).
+ */
+constexpr double kNoTimeLimit = 1e6;
+
+} // namespace
+
 hls::HlsReport
 evaluateDesign(const ir::Module &module,
                const bench::Benchmark &benchmark, bool pipeline_loops,
@@ -38,6 +50,7 @@ roverOnlyFlow(const bench::Benchmark &benchmark)
     ir::Module input = bench::parseBenchmark(benchmark);
     core::SeerOptions options;
     options.use_control = false;
+    options.runner.time_limit_seconds = kNoTimeLimit;
     return core::optimize(input, benchmark.func, options);
 }
 
@@ -48,6 +61,7 @@ seerControlOnlyFlow(const bench::Benchmark &benchmark)
     core::SeerOptions options;
     options.use_rover = false;
     options.unroll_max_trip = benchmark.unroll_max_trip;
+    options.runner.time_limit_seconds = kNoTimeLimit;
     return core::optimize(input, benchmark.func, options);
 }
 
@@ -58,6 +72,7 @@ seerFlow(const bench::Benchmark &benchmark,
     ir::Module input = bench::parseBenchmark(benchmark);
     core::SeerOptions options = base;
     options.unroll_max_trip = benchmark.unroll_max_trip;
+    options.runner.time_limit_seconds = kNoTimeLimit;
     return core::optimize(input, benchmark.func, options);
 }
 

@@ -193,7 +193,6 @@ BM_ManyRuleSaturation(benchmark::State &state)
         options.match_limit = 200;
         options.record_proofs = false;
         options.naive_match = naive;
-        options.incremental_match = !naive;
         Runner runner(egraph, options);
         runner.addRules(rover::roverRules());
         benchmark::DoNotOptimize(runner.run().total_applied);
@@ -302,7 +301,7 @@ BENCHMARK(BM_ExtractGreedyVsExact)
     ->ArgNames({"exact"});
 
 // ---------------------------------------------------------------------
-// Million-node arms: the SoA storage and sharded-search scale proof.
+// Million-node arms: the SoA storage and serial-search scale proof.
 // ---------------------------------------------------------------------
 
 /** Live heap bytes per the allocator (glibc); 0 where unavailable. */
@@ -457,20 +456,16 @@ BENCHMARK(BM_MillionNodeStorage)
     ->Iterations(1);
 
 /**
- * Many-rule saturation over the million-node graph at jobs:1 vs
- * jobs:4 — the sharded-search scaling arm. The searched graph and the
- * match lists are bit-identical across arms (the determinism
- * contract); only the search phase parallelizes, so the speedup bound
- * is search_wall / total. Counters expose the shard accounting:
- * parallel_efficiency = shard busy seconds / (search wall * jobs).
+ * Many-rule saturation over the million-node graph: ~1.8M candidate
+ * visits per iteration through the serial indexed matcher, with a thin
+ * apply/rebuild tail.
  */
 void
 BM_MillionNodeSaturation(benchmark::State &state)
 {
-    unsigned jobs = static_cast<unsigned>(state.range(0));
     for (int i = 0; i < 400000; ++i)
         (void)Symbol("leaf" + std::to_string(i));
-    double shards = 0, wall = 0, busy = 0, applied = 0, nodes = 0;
+    double applied = 0, nodes = 0;
     for (auto _ : state) {
         state.PauseTiming();
         auto egraph = std::make_unique<EGraph>();
@@ -480,12 +475,10 @@ BM_MillionNodeSaturation(benchmark::State &state)
         RunnerOptions options;
         options.max_iters = 2;
         options.max_nodes = 4000000;
-        // Small apply budget: the serial apply/rebuild tail stays thin
-        // so the measured time tracks the (parallelizable) search over
-        // ~1.8M candidate visits per iteration.
+        // Small apply budget: the apply/rebuild tail stays thin so the
+        // measured time tracks the search.
         options.match_limit = 4000;
         options.record_proofs = false;
-        options.match_jobs = jobs;
         Runner runner(*egraph, options);
         runner.addRule(makeRewrite("comm-f", "(f ?x ?y)", "(f ?y ?x)"));
         runner.addRule(makeRewrite("widen", "(g ?x)", "(h ?x ?x)"));
@@ -500,26 +493,14 @@ BM_MillionNodeSaturation(benchmark::State &state)
         runner.addRule(
             makeRewrite("swap-h", "(h ?x ?y)", "(h ?y ?x)"));
         RunnerReport report = runner.run();
-        shards = static_cast<double>(report.match_phase.shards);
-        wall = report.match_phase.search_wall_seconds;
-        busy = report.match_phase.shard_seconds;
         applied = static_cast<double>(report.total_applied);
         nodes = static_cast<double>(egraph->numNodes());
         benchmark::DoNotOptimize(report.total_applied);
     }
-    state.counters["jobs"] = jobs;
     state.counters["nodes"] = nodes;
-    state.counters["shards"] = shards;
     state.counters["applied"] = applied;
-    state.counters["search_wall_s"] = wall;
-    state.counters["shard_busy_s"] = busy;
-    state.counters["parallel_efficiency"] =
-        wall > 0 ? busy / (wall * jobs) : 0.0;
 }
 BENCHMARK(BM_MillionNodeSaturation)
-    ->Arg(1)
-    ->Arg(4)
-    ->ArgNames({"jobs"})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

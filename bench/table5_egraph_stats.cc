@@ -26,14 +26,9 @@ using namespace seer::benchx;
 int
 main(int argc, char **argv)
 {
-    // --threads N exercises the parallel e-matching mode (the paper's
-    // future-work item); exploration is identical, only wall-clock
-    // changes. --json PATH dumps the machine-readable stats.
-    unsigned threads = 1;
+    // --json PATH dumps the machine-readable stats.
     const char *json_path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threads = static_cast<unsigned>(std::stoul(argv[i + 1]));
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             json_path = argv[i + 1];
     }
@@ -54,9 +49,7 @@ main(int argc, char **argv)
 
     for (const char *name : suite) {
         const bench::Benchmark &benchmark = bench::findBenchmark(name);
-        core::SeerOptions options;
-        options.runner.match_jobs = threads;
-        core::SeerResult result = seerFlow(benchmark, options);
+        core::SeerResult result = seerFlow(benchmark);
         const core::SeerStats &stats = result.stats;
         table.addRow({name, fmtInt(stats.egraph_nodes),
                       fmtInt(stats.egraph_classes),
@@ -114,7 +107,6 @@ main(int argc, char **argv)
     rules_table.print(std::cout);
 
     if (json_path) {
-        doc.set("threads", threads);
         doc.set("benchmarks", std::move(benchmarks_json));
         std::ofstream out(json_path);
         if (!out) {

@@ -259,11 +259,6 @@ class SaturatePhase
         mp.index_scans += report.match_phase.index_scans;
         mp.full_scans += report.match_phase.full_scans;
         mp.incremental_scans += report.match_phase.incremental_scans;
-        mp.shards += report.match_phase.shards;
-        mp.shard_seconds += report.match_phase.shard_seconds;
-        mp.search_wall_seconds +=
-            report.match_phase.search_wall_seconds;
-        mp.jobs = std::max(mp.jobs, report.match_phase.jobs);
         absorbHealth(report);
     }
 
@@ -574,13 +569,6 @@ class OptimizeDriver
         runner_options_.catch_rule_errors = !options_.strict;
         runner_options_.quarantine_after = options_.quarantine_after;
         runner_options_.exec = exec_;
-        // One -j knob drives both parallel stages: e-matching and the
-        // external-pass worker pool (both deterministic by
-        // construction). --match-jobs decouples the search phase when
-        // set.
-        runner_options_.match_jobs = options_.match_jobs
-                                         ? options_.match_jobs
-                                         : context_->jobs;
         return true;
     }
 

@@ -98,22 +98,14 @@ struct SeerOptions
 
     // --- memoized + parallel external-pass evaluation --------------------
     /**
-     * Worker threads for external-pass evaluation (and the runner's
-     * match phase). Snippet evaluation is a pure function under a
-     * content-seeded name scope and unions stay strictly serial in
-     * canonical order, so any value of `jobs` produces bit-identical
-     * results — e-graphs, stats, extracted terms (`seer-opt -j N`).
+     * Worker threads for external-pass evaluation, the only parallel
+     * stage (e-matching is serial). Snippet evaluation is a pure
+     * function under a content-seeded name scope and unions stay
+     * strictly serial in canonical order, so any value of `jobs`
+     * produces bit-identical results — e-graphs, stats, extracted
+     * terms (`seer-opt -j N`).
      */
     unsigned jobs = 1;
-    /**
-     * Worker threads for the runner's sharded e-matching phase alone
-     * (`seer-opt --match-jobs`). 0 (default) inherits `jobs`, so one -j
-     * knob drives both parallel stages; setting it decouples search
-     * parallelism from pass-eval parallelism (e.g. for the bench
-     * saturation arms). Determinism contract is the same: any value
-     * produces bit-identical results.
-     */
-    unsigned match_jobs = 0;
     /**
      * Memoize pass outcomes and equivalence verdicts across iterations,
      * phases and optimize() calls. Off: outcomes are staged per

@@ -1,6 +1,7 @@
 #include "core/server.h"
 
 #include <chrono>
+#include <condition_variable>
 #include <iostream>
 
 #include <unistd.h>
@@ -147,17 +148,22 @@ OptServer::handleClient(std::shared_ptr<net::Fd> client)
     env.exec = ExecContext::make();
     env.max_deadline_seconds = options_.max_deadline_seconds;
 
-    std::atomic<bool> done{false};
-    std::atomic<bool> hung_up{false};
-    std::thread watcher([fd, &done, &hung_up, &env] {
-        while (!done.load(std::memory_order_relaxed)) {
+    // The watcher polls every 20 ms but wakes at once when the session
+    // finishes, so the reply never waits out a poll interval.
+    std::mutex watch_mutex;
+    std::condition_variable watch_cv;
+    bool done = false;
+    bool hung_up = false; // written by the watcher, read after join
+    std::thread watcher([&] {
+        std::unique_lock<std::mutex> lock(watch_mutex);
+        while (!done) {
             if (net::peerHungUp(fd)) {
-                hung_up.store(true, std::memory_order_relaxed);
+                hung_up = true;
                 env.exec.requestCancel(CancelReason::External);
                 return;
             }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
+            watch_cv.wait_for(lock, std::chrono::milliseconds(20),
+                              [&] { return done; });
         }
     });
 
@@ -168,10 +174,14 @@ OptServer::handleClient(std::shared_ptr<net::Fd> client)
             std::chrono::steady_clock::now() - begin)
             .count();
 
-    done.store(true, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(watch_mutex);
+        done = true;
+    }
+    watch_cv.notify_one();
     watcher.join();
 
-    if (!hung_up.load())
+    if (!hung_up)
         net::sendFrame(fd, serializeResponse(response), nullptr);
 
     uint64_t request_id;
@@ -183,7 +193,7 @@ OptServer::handleClient(std::shared_ptr<net::Fd> client)
             ++counters_.failures;
         if (response.degraded)
             ++counters_.degraded;
-        if (hung_up.load())
+        if (hung_up)
             ++counters_.client_gone;
         if (options_.save_every > 0 &&
             ++requests_since_save_ >= options_.save_every) {
@@ -204,7 +214,7 @@ OptServer::handleClient(std::shared_ptr<net::Fd> client)
                 std::to_string(response.pass_cache_misses) +
                 " misses, " + std::to_string(response.evaluations) +
                 " evals, " + std::to_string(seconds) + "s" + sched +
-                (hung_up.load() ? " (client gone)" : "") + "\n");
+                (hung_up ? " (client gone)" : "") + "\n");
     }
     if (save_now)
         saveCache();

@@ -151,7 +151,6 @@ ServeRequest::fromOptions(const SeerOptions &options)
     request.use_laws = options.use_laws;
     request.unroll_max_trip = options.unroll_max_trip;
     request.jobs = options.jobs;
-    request.match_jobs = options.match_jobs;
     request.use_pass_cache = options.use_pass_cache;
     request.strict = options.strict;
     request.deadline_seconds = options.deadline_seconds;
@@ -176,7 +175,6 @@ ServeRequest::toOptions() const
     options.use_laws = use_laws;
     options.unroll_max_trip = unroll_max_trip;
     options.jobs = jobs;
-    options.match_jobs = match_jobs;
     options.use_pass_cache = use_pass_cache;
     options.strict = strict;
     options.deadline_seconds = deadline_seconds;
@@ -208,8 +206,6 @@ serializeRequest(const ServeRequest &request)
     appendField(out, "unroll",
                 std::to_string(request.unroll_max_trip));
     appendField(out, "jobs", std::to_string(request.jobs));
-    appendField(out, "match_jobs",
-                std::to_string(request.match_jobs));
     appendField(out, "pass_cache",
                 request.use_pass_cache ? "1" : "0");
     appendField(out, "strict", request.strict ? "1" : "0");
@@ -271,10 +267,6 @@ parseRequest(const std::string &text, ServeRequest *request,
             if (!parseUint(value, &u))
                 return fail(error, "bad jobs");
             request->jobs = static_cast<unsigned>(u);
-        } else if (key == "match_jobs") {
-            if (!parseUint(value, &u))
-                return fail(error, "bad match_jobs");
-            request->match_jobs = static_cast<unsigned>(u);
         } else if (key == "pass_cache") {
             request->use_pass_cache = value == "1";
         } else if (key == "strict") {

@@ -51,7 +51,6 @@ struct ServeRequest
     bool use_laws = true;
     int64_t unroll_max_trip = 0;
     unsigned jobs = 1;
-    unsigned match_jobs = 0;
     /** false: this request runs on a private ephemeral cache instead
      *  of the shared store (the honest cold arm, even against a warm
      *  daemon). */

@@ -87,9 +87,9 @@ class EGraph
 
     /**
      * Canonical representative of an id — read-only walk. This overload
-     * never mutates the union-find, so it is safe from the concurrent
-     * (read-only) e-matching phase and from proof code that must not
-     * perturb ids while reconstructing explanations.
+     * never mutates the union-find, so it is safe from read-only
+     * e-matching and from proof code that must not perturb ids while
+     * reconstructing explanations.
      */
     EClassId find(EClassId id) const;
 

@@ -26,8 +26,7 @@
  *
  * Threading: extraction may lazily drain a registered cost-bound
  * analysis (a logically-const cache update). It must only be called from
- * serial contexts — never from the concurrent read-only e-matching
- * phase, which by construction performs no extraction.
+ * serial contexts — never while another thread reads the same e-graph.
  */
 #ifndef SEER_EGRAPH_EXTRACT_H_
 #define SEER_EGRAPH_EXTRACT_H_

@@ -271,13 +271,17 @@ class MatchMachine
     std::vector<Choice> stack_;
 };
 
+namespace {
+
+/**
+ * The candidate classes of `pattern`, canonicalized, deduplicated and
+ * sorted ascending. With `use_watermark`, only classes stamped strictly
+ * above `watermark` are kept (the rest count as `st.skipped_clean`).
+ */
 std::vector<EClassId>
 ematchCandidates(const EGraph &egraph, const Pattern &pattern,
-                 uint64_t watermark, bool use_watermark,
-                 EMatchStats *stats)
+                 uint64_t watermark, bool use_watermark, EMatchStats &st)
 {
-    EMatchStats local;
-    EMatchStats &st = stats ? *stats : local;
     const CompiledPattern &cp = pattern.compiled();
     std::vector<EClassId> candidates;
 
@@ -326,33 +330,22 @@ ematchCandidates(const EGraph &egraph, const Pattern &pattern,
 }
 
 std::vector<Match>
-ematchChunk(const EGraph &egraph, const Pattern &pattern,
-            const EClassId *candidates, size_t count, size_t limit,
-            EMatchStats *stats)
-{
-    EMatchStats local;
-    EMatchStats &st = stats ? *stats : local;
-    std::vector<Match> out;
-    MatchMachine machine(egraph, pattern.compiled());
-    for (size_t i = 0; i < count; ++i) {
-        ++st.candidates_visited;
-        if (!machine.matchAt(candidates[i], out, limit))
-            break;
-    }
-    return out;
-}
-
-namespace {
-
-std::vector<Match>
 ematchImpl(const EGraph &egraph, const Pattern &pattern,
            uint64_t watermark, bool use_watermark, size_t limit,
            EMatchStats *stats)
 {
+    EMatchStats local;
+    EMatchStats &st = stats ? *stats : local;
     std::vector<EClassId> candidates = ematchCandidates(
-        egraph, pattern, watermark, use_watermark, stats);
-    return ematchChunk(egraph, pattern, candidates.data(),
-                       candidates.size(), limit, stats);
+        egraph, pattern, watermark, use_watermark, st);
+    std::vector<Match> out;
+    MatchMachine machine(egraph, pattern.compiled());
+    for (EClassId id : candidates) {
+        ++st.candidates_visited;
+        if (!machine.matchAt(id, out, limit))
+            break;
+    }
+    return out;
 }
 
 } // namespace

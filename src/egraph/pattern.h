@@ -104,8 +104,9 @@ class Pattern
      *  order — the compiled pattern's slot order). */
     const std::vector<Symbol> &variables() const;
 
-    /** The compiled form, built lazily once (thread-safe: the parallel
-     *  match phase may race to first use). */
+    /** The compiled form, built lazily once. Thread-safe like every
+     *  const member: one PatternPtr may back rule sets that run on
+     *  several threads at once, which may race to first use. */
     const CompiledPattern &compiled() const;
 
     std::string str() const;
@@ -174,35 +175,6 @@ std::vector<Match> ematchDirty(const EGraph &egraph,
  */
 std::vector<Match> ematchNaive(const EGraph &egraph,
                                const Pattern &pattern, size_t limit = 0);
-
-/**
- * Phase 1 of sharded e-matching: the candidate classes of `pattern`,
- * canonicalized, deduplicated and sorted ascending — exactly the
- * sequence ematch()/ematchDirty() iterate (with `use_watermark`, the
- * stamp filter runs first and `stats->skipped_clean`/`used_index` are
- * filled). Pure read; callers slice the result into chunks and match
- * each chunk independently (ematchChunk).
- */
-std::vector<EClassId> ematchCandidates(const EGraph &egraph,
-                                       const Pattern &pattern,
-                                       uint64_t watermark,
-                                       bool use_watermark,
-                                       EMatchStats *stats = nullptr);
-
-/**
- * Phase 2 of sharded e-matching: match a contiguous slice of an
- * ematchCandidates() list into a private buffer. `limit` caps this
- * chunk's matches (0 = unlimited). Read-only on the e-graph — safe to
- * run concurrently with other chunks of the same or other patterns.
- * Concatenating the per-chunk results in chunk order and truncating to
- * `limit` yields bit-identical matches to the serial ematch() walk of
- * the same candidate list, for any chunk size.
- */
-std::vector<Match> ematchChunk(const EGraph &egraph,
-                               const Pattern &pattern,
-                               const EClassId *candidates, size_t count,
-                               size_t limit,
-                               EMatchStats *stats = nullptr);
 
 /** Match a pattern against one specific class. */
 std::vector<Subst> ematchAt(const EGraph &egraph, const Pattern &pattern,

@@ -1,7 +1,6 @@
 #include "egraph/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -10,22 +9,8 @@
 #include "egraph/extract.h"
 #include "egraph/pattern.h"
 #include "support/error.h"
-#include "support/worker_pool.h"
 
 namespace seer::eg {
-
-namespace {
-
-/**
- * Candidate classes per shard work item in the parallel search phase.
- * A fixed constant, deliberately NOT derived from the job count: shard
- * boundaries (and therefore per-shard match caps, stats, and the fold
- * order) must be identical for -j1 and -jN, or the determinism contract
- * would only hold for match lists and not for reports.
- */
-constexpr size_t kMatchShardSize = 512;
-
-} // namespace
 
 std::string
 stopReasonName(StopReason reason)
@@ -57,7 +42,6 @@ toJson(const RuleStats &stats)
     out.set("apply_seconds", stats.apply_seconds);
     out.set("search_candidates", stats.search_candidates);
     out.set("search_skipped_clean", stats.search_skipped_clean);
-    out.set("search_shards", stats.search_shards);
     return out;
 }
 
@@ -75,14 +59,6 @@ toJson(const MatchPhaseStats &stats)
     out.set("index_hit_rate",
             scans == 0 ? 0.0
                        : static_cast<double>(stats.index_scans) / scans);
-    out.set("shards", stats.shards);
-    out.set("shard_seconds", stats.shard_seconds);
-    out.set("search_wall_seconds", stats.search_wall_seconds);
-    out.set("jobs", stats.jobs);
-    double capacity =
-        stats.search_wall_seconds * static_cast<double>(stats.jobs);
-    out.set("match_parallel_efficiency",
-            capacity > 0 ? stats.shard_seconds / capacity : 0.0);
     return out;
 }
 
@@ -208,16 +184,6 @@ Runner::run()
         }
     };
 
-    // Per-rule match instrumentation, accumulated across iterations
-    // (worker threads write disjoint slots) and folded into the report
-    // at the end of the run.
-    std::vector<MatchPhaseStats> phase_accum(rules_.size());
-    // The persistent pool for the sharded search phase: threads spawn
-    // once per run and park between iterations (support/worker_pool.h).
-    // With match_jobs <= 1 every job runs inline on this thread — the
-    // same code path minus the threads.
-    WorkerPool pool(std::max(1u, options_.match_jobs));
-    report.match_phase.jobs = pool.threads();
     // Incremental caches are only sound while no rollback happened:
     // a rollback can make matches disappear, which monotonic timestamps
     // cannot express. Any generation change forces a full rescan.
@@ -281,277 +247,143 @@ Runner::run()
             continue;
         }
 
-        // Phase 1: read-only matching of every active rule, sharded
-        // into (rule, candidate-chunk) work items across the worker
-        // pool. Two passes: (A) per-rule candidate collection, then (B)
-        // match machines over fixed-size candidate shards, each job
-        // writing only its private result slot. All mutation — cache
-        // merges, scheduler state, stats — happens in the strictly
-        // serial fold below, in (rule, shard) order. Shard boundaries
-        // are a fixed constant (kMatchShardSize) and the fold order is
-        // deterministic, so match lists, reports, and stats are
-        // bit-identical for any job count. Each rule searches up to its
-        // budget + 1 so overflow is detectable without enumerating
-        // every match of an explosive rule; time and cancellation are
-        // polled *between* work items so one long e-match phase cannot
-        // blow far past the budget.
+        // Phase 1: read-only matching of every active rule, in rule
+        // order. Each rule searches up to its budget + 1 so overflow is
+        // detectable without enumerating every match of an explosive
+        // rule; time and cancellation are polled *between* rules so one
+        // long e-match phase cannot blow far past the budget.
         struct PendingApply
         {
             size_t rule_index;
             Match match;
         };
         std::vector<std::vector<Match>> per_rule(rules_.size());
-        // Search failures are captured per slot (a worker thread must
-        // never let an exception escape: that would terminate) and
-        // accounted for on this thread during the fold; among a rule's
-        // shards the lowest shard index wins, deterministically.
+        // Search failures are accounted for once the phase completed; a
+        // partial phase records nothing (it is discarded below).
         std::vector<std::exception_ptr> search_errors(rules_.size());
-        std::atomic<bool> out_of_time{false};
-        std::atomic<bool> phase_canceled{false};
         // Every stamp written after this point is greater than
         // scan_tick, so it is a sound watermark for any cache refreshed
         // this iteration (phase 1 never mutates the e-graph).
         const uint64_t scan_tick = egraph_.tick();
-        auto cancel_search = [&] {
-            if (out_of_time.load(std::memory_order_relaxed) ||
-                phase_canceled.load(std::memory_order_relaxed))
-                return true;
+        for (size_t r : active) {
             if (options_.exec.canceled()) {
-                phase_canceled.store(true, std::memory_order_relaxed);
-                return true;
+                canceled = true;
+                break;
             }
             if (elapsed() > time_limit) {
-                out_of_time.store(true, std::memory_order_relaxed);
-                return true;
+                timed_out = true;
+                break;
             }
-            return false;
-        };
-
-        auto phase_start = Clock::now();
-        // Pass A: candidate collection (or, for the naive reference
-        // matcher, the whole scan — it has no candidate phase).
-        struct ScanTask
-        {
-            size_t rule = 0;
-            bool naive = false;
-            bool dirty = false; ///< watermark-filtered scan
-            size_t limit = 0;
-            uint64_t watermark = 0;
-            std::vector<EClassId> candidates;
-            std::vector<Match> naive_matches;
-            EMatchStats stats;
-            double seconds = 0;
-            std::exception_ptr error;
-        };
-        std::vector<ScanTask> scans(active.size());
-        for (size_t i = 0; i < active.size(); ++i) {
-            ScanTask &task = scans[i];
-            task.rule = active[i];
-            task.naive = options_.naive_match;
-            task.dirty = !task.naive && options_.incremental_match &&
-                         states_[task.rule].cache_valid;
-            task.watermark = states_[task.rule].watermark;
-            task.limit = thresholdFor(states_[task.rule]) + 1;
-        }
-        pool.run(
-            scans.size(),
-            [&](size_t i) {
-                ScanTask &task = scans[i];
-                auto t0 = Clock::now();
-                try {
-                    if (task.naive) {
-                        task.naive_matches = ematchNaive(
-                            egraph_, *rules_[task.rule].lhs, task.limit);
-                    } else {
-                        task.candidates = ematchCandidates(
-                            egraph_, *rules_[task.rule].lhs,
-                            task.watermark, task.dirty, &task.stats);
-                    }
-                } catch (const FatalError &) {
-                    task.error = std::current_exception();
-                } catch (const std::bad_alloc &) {
-                    // Allocation failure while searching one rule is
-                    // that rule's failure, not the runner's: the
-                    // e-graph was not mutated (phase 1 is read-only).
-                    task.error = std::current_exception();
-                }
-                task.seconds = since(t0);
-            },
-            cancel_search);
-
-        // Shard layout: contiguous kMatchShardSize chunks of each
-        // rule's candidate list, in rule order.
-        struct Shard
-        {
-            size_t task = 0; ///< index into `scans`
-            size_t begin = 0;
-            size_t count = 0;
-            std::vector<Match> matches;
-            EMatchStats stats;
-            double seconds = 0;
-            std::exception_ptr error;
-        };
-        std::vector<Shard> shards;
-        std::vector<size_t> first_shard(scans.size() + 1, 0);
-        if (!out_of_time.load() && !phase_canceled.load()) {
-            for (size_t i = 0; i < scans.size(); ++i) {
-                first_shard[i] = shards.size();
-                const ScanTask &task = scans[i];
-                if (task.naive || task.error)
-                    continue;
-                for (size_t begin = 0; begin < task.candidates.size();
-                     begin += kMatchShardSize) {
-                    Shard shard;
-                    shard.task = i;
-                    shard.begin = begin;
-                    shard.count = std::min(kMatchShardSize,
-                                           task.candidates.size() -
-                                               begin);
-                    shards.push_back(std::move(shard));
-                }
+            RuleState &state = states_[r];
+            RuleStats &rule_stats = report.rules[r];
+            MatchPhaseStats &mp = report.match_phase;
+            const Pattern &lhs = *rules_[r].lhs;
+            const size_t limit = thresholdFor(state) + 1;
+            const bool dirty = !options_.naive_match && state.cache_valid;
+            EMatchStats es;
+            std::vector<Match> fresh;
+            auto t0 = Clock::now();
+            try {
+                if (options_.naive_match)
+                    fresh = ematchNaive(egraph_, lhs, limit);
+                else if (dirty)
+                    fresh = ematchDirty(egraph_, lhs, state.watermark,
+                                        limit, &es);
+                else
+                    fresh = ematch(egraph_, lhs, limit, &es);
+            } catch (const FatalError &) {
+                search_errors[r] = std::current_exception();
+            } catch (const std::bad_alloc &) {
+                // Allocation failure while searching one rule is that
+                // rule's failure, not the runner's: the e-graph was not
+                // mutated (phase 1 is read-only).
+                search_errors[r] = std::current_exception();
             }
-            first_shard[scans.size()] = shards.size();
-            // Pass B: match every shard into its private buffer. Each
-            // shard is capped at its rule's own limit, so an explosive
-            // rule cannot make one shard enumerate unboundedly; the
-            // fold trims the concatenation back to the limit, which
-            // reproduces the serial prefix exactly (candidates are
-            // sorted ascending and chunk results keep that order).
-            pool.run(
-                shards.size(),
-                [&](size_t s) {
-                    Shard &shard = shards[s];
-                    const ScanTask &task = scans[shard.task];
-                    auto t0 = Clock::now();
-                    try {
-                        shard.matches = ematchChunk(
-                            egraph_, *rules_[task.rule].lhs,
-                            task.candidates.data() + shard.begin,
-                            shard.count, task.limit, &shard.stats);
-                    } catch (const FatalError &) {
-                        shard.error = std::current_exception();
-                    } catch (const std::bad_alloc &) {
-                        shard.error = std::current_exception();
-                    }
-                    shard.seconds = since(t0);
-                },
-                cancel_search);
-        }
-
-        if (!out_of_time.load() && !phase_canceled.load() &&
-            !options_.exec.canceled()) {
-            // Serial fold, in (rule, shard) order: concatenate shard
-            // buffers, truncate to the budget, merge with the match
-            // cache, and account every stat. This is the only place
-            // RuleState or the report are touched for the search phase,
-            // which keeps the parallel passes free of shared writes.
-            for (size_t i = 0; i < scans.size(); ++i) {
-                ScanTask &task = scans[i];
-                const size_t r = task.rule;
-                RuleState &state = states_[r];
-                MatchPhaseStats &mp = phase_accum[r];
-                double rule_seconds = task.seconds;
-                std::exception_ptr error = task.error;
-                std::vector<Match> fresh;
-                const size_t shard_count =
-                    first_shard[i + 1] - first_shard[i];
-                for (size_t s = first_shard[i]; s < first_shard[i + 1];
-                     ++s) {
-                    Shard &shard = shards[s];
-                    rule_seconds += shard.seconds;
-                    mp.shard_seconds += shard.seconds;
-                    mp.candidates_visited +=
-                        shard.stats.candidates_visited;
-                    if (!error && shard.error)
-                        error = shard.error; // lowest shard wins
-                    if (error)
-                        continue;
-                    for (Match &match : shard.matches) {
-                        if (fresh.size() >= task.limit)
-                            break;
-                        fresh.push_back(std::move(match));
-                    }
-                }
-                mp.shards += shard_count;
-                report.rules[r].search_shards += shard_count;
-                report.rules[r].search_seconds += rule_seconds;
-                if (error) {
-                    per_rule[r].clear();
-                    state.cache_valid = false;
-                    state.cache.clear();
-                    search_errors[r] = error;
-                    continue;
-                }
-                if (task.naive) {
-                    ++mp.full_scans;
-                    per_rule[r] = std::move(task.naive_matches);
-                    continue;
-                }
-                task.stats.used_index ? ++mp.index_scans
-                                      : ++mp.full_scans;
-                if (!task.dirty) {
-                    per_rule[r] = std::move(fresh);
-                    if (options_.incremental_match &&
-                        per_rule[r].size() < task.limit) {
-                        // Untruncated: this is the complete match set.
-                        state.cache = per_rule[r];
-                        state.watermark = scan_tick;
-                        state.cache_valid = true;
-                    } else {
-                        state.cache_valid = false;
-                        state.cache.clear();
-                    }
-                    continue;
-                }
-                // Incremental scan. A class whose stamp is at or below
-                // the watermark can neither gain nor lose matches
-                // (rebuild stamps the whole ancestor cone of every
-                // change), so cached matches rooted at still-canonical
-                // clean classes are reused verbatim and only dirty
-                // classes were re-searched. Both lists are ordered by
-                // ascending root id and their root sets are disjoint
-                // (clean vs. dirty), so the two-way merge reproduces
-                // the full-scan order — and therefore backoff/ban
-                // behavior — exactly.
-                mp.skipped_clean += task.stats.skipped_clean;
-                ++mp.incremental_scans;
-                const bool fresh_complete = fresh.size() < task.limit;
-                std::vector<Match> merged;
-                merged.reserve(state.cache.size() + fresh.size());
-                size_t fi = 0;
-                for (const Match &cached : state.cache) {
-                    if (egraph_.find(cached.root) != cached.root ||
-                        egraph_.timestampOf(cached.root) >
-                            state.watermark) {
-                        // Dirty or absorbed root: re-found (or
-                        // legitimately gone) in `fresh`.
-                        continue;
-                    }
-                    while (fi < fresh.size() &&
-                           fresh[fi].root < cached.root)
-                        merged.push_back(std::move(fresh[fi++]));
-                    merged.push_back(cached);
-                    ++mp.cached_matches_reused;
-                }
-                while (fi < fresh.size())
-                    merged.push_back(std::move(fresh[fi++]));
-                if (fresh_complete) {
-                    state.cache = merged;
+            rule_stats.search_seconds += since(t0);
+            rule_stats.search_candidates += es.candidates_visited;
+            mp.candidates_visited += es.candidates_visited;
+            if (search_errors[r]) {
+                state.cache_valid = false;
+                state.cache.clear();
+                continue;
+            }
+            if (options_.naive_match) {
+                ++mp.full_scans;
+                per_rule[r] = std::move(fresh);
+                continue;
+            }
+            es.used_index ? ++mp.index_scans : ++mp.full_scans;
+            if (!dirty) {
+                per_rule[r] = std::move(fresh);
+                if (per_rule[r].size() < limit) {
+                    // Untruncated: this is the complete match set.
+                    state.cache = per_rule[r];
                     state.watermark = scan_tick;
+                    state.cache_valid = true;
                 } else {
-                    // `fresh` was truncated at the budget: the merged
-                    // prefix below is still exact, but the complete set
-                    // is unknown — rescan next time.
                     state.cache_valid = false;
                     state.cache.clear();
                 }
-                if (merged.size() > task.limit)
-                    merged.resize(task.limit);
-                per_rule[r] = std::move(merged);
+                continue;
             }
+            // Incremental scan. A class whose stamp is at or below the
+            // watermark can neither gain nor lose matches (rebuild
+            // stamps the whole ancestor cone of every change), so
+            // cached matches rooted at still-canonical clean classes
+            // are reused verbatim and only dirty classes were
+            // re-searched. Both lists are ordered by ascending root id
+            // and their root sets are disjoint (clean vs. dirty), so
+            // the two-way merge reproduces the full-scan order — and
+            // therefore backoff/ban behavior — exactly.
+            rule_stats.search_skipped_clean += es.skipped_clean;
+            mp.skipped_clean += es.skipped_clean;
+            ++mp.incremental_scans;
+            const bool fresh_complete = fresh.size() < limit;
+            std::vector<Match> merged;
+            merged.reserve(state.cache.size() + fresh.size());
+            size_t fi = 0;
+            for (const Match &cached : state.cache) {
+                if (egraph_.find(cached.root) != cached.root ||
+                    egraph_.timestampOf(cached.root) > state.watermark) {
+                    // Dirty or absorbed root: re-found (or legitimately
+                    // gone) in `fresh`.
+                    continue;
+                }
+                while (fi < fresh.size() && fresh[fi].root < cached.root)
+                    merged.push_back(std::move(fresh[fi++]));
+                merged.push_back(cached);
+                ++mp.cached_matches_reused;
+            }
+            while (fi < fresh.size())
+                merged.push_back(std::move(fresh[fi++]));
+            if (fresh_complete) {
+                state.cache = merged;
+                state.watermark = scan_tick;
+            } else {
+                // `fresh` was truncated at the budget: the merged prefix
+                // below is still exact, but the complete set is unknown
+                // — rescan next time.
+                state.cache_valid = false;
+                state.cache.clear();
+            }
+            if (merged.size() > limit)
+                merged.resize(limit);
+            per_rule[r] = std::move(merged);
         }
-        report.match_phase.search_wall_seconds += since(phase_start);
-
+        if (options_.exec.canceled())
+            canceled = true;
+        if (canceled) {
+            // Same discipline as a timeout below: a partial match
+            // phase is never applied.
+            report.stop = StopReason::Canceled;
+            break;
+        }
+        if (timed_out) {
+            // Partial match phase: applying it would make the explored
+            // graph depend on scheduling, so discard and stop here.
+            report.stop = StopReason::TimeLimit;
+            break;
+        }
         for (size_t r : active) {
             if (!search_errors[r])
                 continue;
@@ -565,21 +397,6 @@ Runner::run()
                 record_failure(r, "allocation failure during search "
                                   "(contained)");
             }
-        }
-        if (phase_canceled.load() || options_.exec.canceled())
-            canceled = true;
-        if (canceled) {
-            // Same discipline as out_of_time below: a partial match
-            // phase is never applied.
-            report.stop = StopReason::Canceled;
-            break;
-        }
-        if (out_of_time) {
-            // Partial match phase: applying it would make the explored
-            // graph depend on scheduling, so discard and stop here.
-            timed_out = true;
-            report.stop = StopReason::TimeLimit;
-            break;
         }
 
         // Backoff scheduling (egg's BackoffScheduler semantics): an
@@ -804,18 +621,6 @@ Runner::run()
         report.rules[r].times_banned = states_[r].times_banned;
         if (states_[r].quarantined)
             ++report.rules_quarantined;
-        const MatchPhaseStats &mp = phase_accum[r];
-        report.rules[r].search_candidates = mp.candidates_visited;
-        report.rules[r].search_skipped_clean = mp.skipped_clean;
-        report.match_phase.candidates_visited += mp.candidates_visited;
-        report.match_phase.skipped_clean += mp.skipped_clean;
-        report.match_phase.cached_matches_reused +=
-            mp.cached_matches_reused;
-        report.match_phase.index_scans += mp.index_scans;
-        report.match_phase.full_scans += mp.full_scans;
-        report.match_phase.incremental_scans += mp.incremental_scans;
-        report.match_phase.shards += mp.shards;
-        report.match_phase.shard_seconds += mp.shard_seconds;
     }
 
     // Resolve proof records with a shared per-class memo.

@@ -95,7 +95,6 @@ struct RuleStats
     double apply_seconds = 0;
     size_t search_candidates = 0; ///< classes actually matched against
     size_t search_skipped_clean = 0; ///< skipped via watermark
-    size_t search_shards = 0; ///< shard work items this rule's searches split into
 };
 
 /**
@@ -118,18 +117,6 @@ struct MatchPhaseStats
     size_t full_scans = 0;
     /** Watermark-filtered (incremental) searches. */
     size_t incremental_scans = 0;
-    /** Shard work items dispatched across the worker pool. Shard
-     *  boundaries are a fixed candidate-count constant, independent of
-     *  the job count, so this (like every non-timing field here) is
-     *  identical for -j1 and -jN. */
-    size_t shards = 0;
-    /** Summed busy time of all shard jobs; exceeds wall time when the
-     *  pool overlaps them on multiple cores. */
-    double shard_seconds = 0;
-    /** Wall-clock time spent inside the parallel search phases. */
-    double search_wall_seconds = 0;
-    /** Worker count the search phase ran with (match_jobs). */
-    size_t jobs = 1;
 };
 
 struct RunnerOptions
@@ -152,17 +139,6 @@ struct RunnerOptions
     /** Record lhs/rhs terms for each union (needed for verification). */
     bool record_proofs = true;
     /**
-     * Worker count for the (read-only) e-matching phase. 1 = serial.
-     * The search phase shards into (rule, candidate-chunk) work items
-     * over a persistent pool (support/worker_pool.h); workers fill
-     * disjoint result slots and the runner folds them in (rule, shard)
-     * order, so match lists, reports, and stats are bit-identical for
-     * any job count — `-j1 ≡ -jN` extends from pass eval to e-matching.
-     * This is the paper's "parallel e-graph exploration" future-work
-     * item.
-     */
-    unsigned match_jobs = 1;
-    /**
      * Fault isolation: when true (default) a FatalError thrown while
      * searching or applying one rule is caught, logged in the report,
      * and counted against that rule instead of aborting the whole run.
@@ -174,21 +150,21 @@ struct RunnerOptions
      *  the run after this many *consecutive* recovered failures
      *  (distinct from backoff bans, which always expire). */
     size_t quarantine_after = 3;
-    /** Use the pre-index whole-graph reference matcher (ematchNaive)
-     *  instead of the indexed compiled one. For differential testing;
-     *  implies no incremental matching. */
-    bool naive_match = false;
     /**
-     * Reuse each rule's previous full match set and re-search only
-     * classes modified since that rule's last scan (timestamp
-     * watermarks). Produces exactly the same per-iteration match lists
-     * as a full scan — clean classes can neither gain nor lose matches
-     * — so scheduler behavior is unchanged. Falls back to a full rescan
-     * whenever the e-graph's rollback generation changes (fault
-     * isolation can make matches disappear, which watermarks cannot
-     * see).
+     * Use the pre-index whole-graph reference matcher (ematchNaive)
+     * instead of the indexed compiled one. For differential testing.
+     *
+     * Off (the default), matching is incremental: each rule reuses its
+     * previous full match set and re-searches only classes modified
+     * since its last scan (timestamp watermarks). That produces exactly
+     * the same per-iteration match lists as a full scan — clean classes
+     * can neither gain nor lose matches — so scheduler behavior is
+     * unchanged. It falls back to a full rescan whenever the e-graph's
+     * rollback generation changes (fault isolation can make matches
+     * disappear, which watermarks cannot see). The naive matcher always
+     * scans the whole graph.
      */
-    bool incremental_match = true;
+    bool naive_match = false;
     /** Unified governance: the context's deadline tightens
      *  time_limit_seconds when it expires sooner (the driver threads
      *  its --deadline through every phase this way), and cancellation

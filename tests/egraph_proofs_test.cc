@@ -130,42 +130,6 @@ TEST(ProofRecordTest, RecordsStayResolvableAfterHeavyMerging)
     EXPECT_FALSE(path->empty());
 }
 
-TEST(ThreadedMatchTest, SameExplorationAsSerial)
-{
-    auto run = [](unsigned threads) {
-        EGraph eg(rover::roverAnalysisHooks());
-        eg.addTerm(parseTerm(
-            "(arith.addi:i32 (arith.muli:i32 var:a const:12:i32) "
-            "(arith.muli:i32 var:b const:6:i32))"));
-        RunnerOptions options;
-        options.max_iters = 5;
-        options.match_jobs = threads;
-        options.record_proofs = false;
-        Runner runner(eg, options);
-        runner.addRules(rover::roverRules());
-        RunnerReport report = runner.run();
-        return std::tuple{eg.numNodes(), eg.numClasses(),
-                          report.total_applied};
-    };
-    auto serial = run(1);
-    auto threaded = run(4);
-    EXPECT_EQ(serial, threaded);
-}
-
-TEST(ThreadedMatchTest, ThreadedRunStillSaturates)
-{
-    EGraph eg;
-    EClassId root = eg.addTerm(parseTerm("(add x y)"));
-    RunnerOptions options;
-    options.match_jobs = 8;
-    Runner runner(eg, options);
-    runner.addRule(makeRewrite("comm", "(add ?a ?b)", "(add ?b ?a)"));
-    RunnerReport report = runner.run();
-    EXPECT_EQ(report.stop, StopReason::Saturated);
-    EXPECT_EQ(eg.find(*eg.lookupTerm(parseTerm("(add y x)"))),
-              eg.find(root));
-}
-
 // --- Extraction properties over randomized saturations ----------------
 
 class ExtractionProperty : public ::testing::TestWithParam<uint64_t>

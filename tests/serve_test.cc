@@ -11,7 +11,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cctype>
 #include <cstdio>
@@ -337,7 +339,6 @@ TEST(ServeProtocol, RequestRoundTripsEveryField)
     request.use_laws = false;
     request.unroll_max_trip = 16;
     request.jobs = 3;
-    request.match_jobs = 2;
     request.use_pass_cache = false;
     request.strict = true;
     request.deadline_seconds = 2.5;
@@ -361,7 +362,6 @@ TEST(ServeProtocol, RequestRoundTripsEveryField)
     EXPECT_EQ(parsed.use_laws, request.use_laws);
     EXPECT_EQ(parsed.unroll_max_trip, request.unroll_max_trip);
     EXPECT_EQ(parsed.jobs, request.jobs);
-    EXPECT_EQ(parsed.match_jobs, request.match_jobs);
     EXPECT_EQ(parsed.use_pass_cache, request.use_pass_cache);
     EXPECT_EQ(parsed.strict, request.strict);
     EXPECT_EQ(parsed.deadline_seconds, request.deadline_seconds);
@@ -600,6 +600,76 @@ TEST(OptServer, MidRequestDisconnectIsContained)
     ServerCounters counters = server.counters();
     EXPECT_GE(counters.requests, 1u);
     EXPECT_EQ(counters.protocol_errors, 1u);
+}
+
+TEST(OptServer, LegacyMatchJobsRequestStillParsesAndRuns)
+{
+    // Older clients sent a `match_jobs` field for the removed parallel
+    // e-match search. It is now an unknown key: skipped, not fatal.
+    std::string text = serializeRequest(smallRequest());
+    text.insert(text.find('\n') + 1, "match_jobs 2\n");
+    ServeRequest parsed;
+    std::string error;
+    ASSERT_TRUE(parseRequest(text, &parsed, &error)) << error;
+    EXPECT_EQ(parsed.func, "seq_loops");
+    EXPECT_EQ(parsed.ir_text, kKernel);
+
+    ServerOptions options;
+    options.socket_path = tempPath("legacy") + ".sock";
+    options.quiet = true;
+    OptServer server(options);
+    ASSERT_TRUE(server.start(&error)) << error;
+    net::Fd fd = net::connectUnix(options.socket_path, &error);
+    ASSERT_TRUE(fd.valid()) << error;
+    ASSERT_EQ(net::sendFrame(fd.get(), text, &error), net::IoStatus::Ok)
+        << error;
+    std::string payload;
+    ASSERT_EQ(net::recvFrame(fd.get(), payload, &error),
+              net::IoStatus::Ok)
+        << error;
+    ServeResponse response;
+    ASSERT_TRUE(parseResponse(payload, &response, &error)) << error;
+    EXPECT_EQ(response.exit_code, 0) << response.error;
+
+    SessionEnv env;
+    env.exec = ExecContext::make();
+    EXPECT_EQ(response.output_ir,
+              runSession(smallRequest(), env).output_ir);
+    server.stop();
+    EXPECT_EQ(server.counters().protocol_errors, 0u);
+}
+
+TEST(OptServer, ReplyDoesNotWaitOutTheDisconnectPoll)
+{
+    // The per-request disconnect watcher polls for a hang-up every
+    // 20 ms. A finished session must wake it instead of waiting out
+    // the poll interval before its reply goes out. An unparsable
+    // module fails inside the session in microseconds, so the round
+    // trip is almost pure server overhead; the fastest of several
+    // stays far below one poll interval unless the reply is held back.
+    ServerOptions options;
+    options.socket_path = tempPath("latency") + ".sock";
+    options.quiet = true;
+    OptServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ServeRequest request = smallRequest();
+    request.ir_text = "not a module";
+    double fastest = 1e9;
+    for (int i = 0; i < 10; ++i) {
+        auto begin = std::chrono::steady_clock::now();
+        ServeResponse response = roundTrip(options.socket_path, request);
+        double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - begin)
+                        .count();
+        EXPECT_EQ(response.exit_code, 1);
+        fastest = std::min(fastest, ms);
+    }
+    EXPECT_LT(fastest, 10.0)
+        << "every reply waited out the watcher's poll interval";
+    server.stop();
+    EXPECT_EQ(server.counters().requests, 10u);
 }
 
 TEST(OptServer, StopIsCleanAndIdempotent)
