@@ -38,20 +38,21 @@ using SymbolPred = bool (*)(Symbol);
 bool
 isForNode(Symbol symbol)
 {
-    return sl::opNameOf(symbol) == "affine.for";
+    return sl::opRecord(symbol).kind == sl::OpKind::For;
 }
 
 bool
 isIfNode(Symbol symbol)
 {
-    return sl::opNameOf(symbol) == "scf.if";
+    return sl::opRecord(symbol).kind == sl::OpKind::If;
 }
 
 bool
 isStatementRoot(Symbol symbol)
 {
-    std::string name = sl::opNameOf(symbol);
-    return name == "seq" || name == "affine.for" || name == "scf.while";
+    sl::OpKind kind = sl::opRecord(symbol).kind;
+    return kind == sl::OpKind::Seq || kind == sl::OpKind::For ||
+           kind == sl::OpKind::While;
 }
 
 bool
@@ -439,15 +440,16 @@ firstIf(ir::Operation &func)
 std::vector<Rewrite>
 seqRules()
 {
-    std::vector<Rewrite> rules;
+    // Syntactic and unconditional: built once, shared by every runner.
     // One direction suffices: left-grouping a right-associated chain
     // already surfaces every adjacent statement pair as a (seq a b)
     // class; the reverse direction only multiplies class count.
-    rules.push_back(makeRewrite("seq-assoc",
-                                "(seq ?a (seq ?b ?c))",
-                                "(seq (seq ?a ?b) ?c)"));
-    rules.push_back(makeRewrite("seq-nop-l", "(seq nop ?a)", "?a"));
-    rules.push_back(makeRewrite("seq-nop-r", "(seq ?a nop)", "?a"));
+    static const std::vector<Rewrite> rules = {
+        makeRewrite("seq-assoc", "(seq ?a (seq ?b ?c))",
+                    "(seq (seq ?a ?b) ?c)"),
+        makeRewrite("seq-nop-l", "(seq nop ?a)", "?a"),
+        makeRewrite("seq-nop-r", "(seq ?a nop)", "?a"),
+    };
     return rules;
 }
 

@@ -47,37 +47,6 @@ preNormalize(ir::Operation &func)
     passes::canonicalize(func);
 }
 
-/**
- * Per-run view of a (possibly shared, cross-run) evaluation cache:
- * counters report this run's delta; the disk fields describe the cache
- * itself and pass through.
- */
-ExternalEvalStats
-evalStatsDelta(const ExternalEvalStats &now, const ExternalEvalStats &base)
-{
-    ExternalEvalStats d = now;
-    d.pass_cache_hits -= base.pass_cache_hits;
-    d.pass_cache_misses -= base.pass_cache_misses;
-    d.verify_cache_hits -= base.verify_cache_hits;
-    d.verify_cache_misses -= base.verify_cache_misses;
-    d.candidates_deduped -= base.candidates_deduped;
-    d.evaluations -= base.evaluations;
-    d.batches -= base.batches;
-    d.batch_jobs -= base.batch_jobs;
-    d.canceled -= base.canceled;
-    d.emit_seconds -= base.emit_seconds;
-    d.pass_seconds -= base.pass_seconds;
-    d.translate_seconds -= base.translate_seconds;
-    d.verify_seconds -= base.verify_seconds;
-    d.schedule_seconds -= base.schedule_seconds;
-    d.pass_evictions -= base.pass_evictions;
-    d.verify_evictions -= base.verify_evictions;
-    d.evicted_bytes -= base.evicted_bytes;
-    // cache_shards / resident_* / disk_* are levels describing the
-    // cache itself, not per-run counters: they pass through.
-    return d;
-}
-
 /** Seed the registry from the initial HLS schedule (called once). */
 LoopRegistry
 seedRegistry(const sl::Translation &translation, ir::Operation &func,
@@ -471,8 +440,11 @@ class OptimizeDriver
         // iteration-scoped staging buffer, per use_pass_cache. Either
         // way the exploration result is identical — the cache memoizes
         // a pure function and unions stay serial.
-        eval_cache_ = options_.shared_eval_cache;
-        if (!eval_cache_) {
+        // A shared cache is read and filled through a view of its own,
+        // so this run's stats count only this run's traffic.
+        if (options_.shared_eval_cache) {
+            eval_cache_ = options_.shared_eval_cache->openRun();
+        } else {
             eval_cache_ = std::make_shared<ExternalEvalCache>(
                 options_.use_pass_cache);
             if (options_.use_pass_cache &&
@@ -490,10 +462,6 @@ class OptimizeDriver
         context_->eval_cache = eval_cache_;
         eval_cache_->setExecContext(exec_);
         context_->jobs = options_.jobs > 0 ? options_.jobs : 1;
-        // Stats snapshots: a shared cache accumulates across
-        // optimize() calls, so this run reports deltas against entry
-        // values.
-        eval_stats_base_ = eval_cache_->stats();
 
         // Deterministic run-level name scope: every fresh tag /
         // loop id drawn anywhere in this run (translation,
@@ -683,8 +651,7 @@ class OptimizeDriver
         // honest figure under -j; per-stage thread-seconds live in
         // external_eval).
         result_.stats.time_in_passes_seconds = context_->mlir_seconds;
-        result_.stats.external_eval =
-            evalStatsDelta(eval_cache_->stats(), eval_stats_base_);
+        result_.stats.external_eval = eval_cache_->stats();
         result_.stats.scheduler =
             context_->pipeline->scheduler().stats();
         if (!options_.shared_eval_cache && options_.use_pass_cache &&
@@ -747,7 +714,6 @@ class OptimizeDriver
     sl::Translation translation_;
     ContextPtr context_;
     EvalCachePtr eval_cache_;
-    ExternalEvalStats eval_stats_base_;
     std::optional<sl::NameScope> run_scope_;
     std::optional<LatencyCost> latency_;
     std::optional<EGraph> egraph_;

@@ -299,7 +299,7 @@ makeUnsoundStoreDropRule()
             const eg::EClass &eclass =
                 egraph.eclass(egraph.find(match.root));
             for (const eg::ENode &node : eclass.nodes) {
-                if (sl::opNameOf(node.op) == "memref.store")
+                if (sl::opRecord(node.op).kind == sl::OpKind::Store)
                     return eg::makeTerm(sl::nopSymbol());
             }
             return std::nullopt;

@@ -57,9 +57,6 @@ TermPtr makeTerm(std::string_view op, std::vector<TermPtr> children = {});
 /** Parse an S-expression, e.g. "(arith.addi:i32 var:a const:1:i32)". */
 TermPtr parseTerm(std::string_view text);
 
-/** Split a symbol of the form "a:b:c" into fields. */
-std::vector<std::string> splitSymbol(Symbol symbol);
-
 /** Join fields into a symbol. */
 Symbol joinSymbol(const std::vector<std::string> &fields);
 

@@ -1,7 +1,5 @@
 #include "seerlang/canonical.h"
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "seerlang/encoding.h"
@@ -13,28 +11,39 @@ using eg::TermPtr;
 
 namespace {
 
-/** Bound-name environment: name -> stack of binder numbers. */
-using Env = std::map<std::string, std::vector<uint64_t>>;
+/**
+ * Bound-name environment: a stack of (the binder's var:<iv> symbol,
+ * binder number), innermost last, so a lookup from the back resolves
+ * shadowing.
+ */
+using Env = std::vector<std::pair<Symbol, uint64_t>>;
 
-bool
-isForWithBinder(Symbol op, std::string *iv_name)
+/** The binder number `var` resolves to, or nullptr when it is free. */
+const uint64_t *
+lookup(const Env &env, Symbol var)
 {
-    auto fields = eg::splitSymbol(op);
-    if (fields.size() != 3 || fields[0] != "affine.for")
-        return false;
-    if (iv_name)
-        *iv_name = fields[1];
-    return true;
+    for (auto it = env.rbegin(); it != env.rend(); ++it) {
+        if (it->first == var)
+            return &it->second;
+    }
+    return nullptr;
+}
+
+/** An affine.for carrying both its iv and its loop id. */
+bool
+isBinder(const OpRecord &record)
+{
+    return record.kind == OpKind::For && !record.iv_var.empty();
 }
 
 uint64_t
 hashRec(const TermPtr &term, Env &env, uint64_t &binder_count)
 {
     Symbol op = term->op();
+    const OpRecord &record = opRecord(op);
     uint64_t hash = kHashSeed;
 
-    std::string iv_name;
-    if (isForWithBinder(op, &iv_name)) {
+    if (isBinder(record)) {
         // Binder: op name + binder number stand in for the iv name and
         // the loop id. lb/ub/step are evaluated outside the binding;
         // only the body (child 3) sees the iv.
@@ -49,18 +58,17 @@ hashRec(const TermPtr &term, Env &env, uint64_t &binder_count)
                     hash, hashRec(term->child(i), env, binder_count));
             }
         }
-        env[iv_name].push_back(binder);
+        env.emplace_back(record.iv_var, binder);
         hash = hashCombine(
             hash, hashRec(term->child(body_index), env, binder_count));
-        env[iv_name].pop_back();
+        env.pop_back();
         return hash;
     }
 
-    if (auto var = decodeVar(op)) {
-        auto it = env.find(*var);
-        if (it != env.end() && !it->second.empty()) {
+    if (record.kind == OpKind::Var) {
+        if (const uint64_t *binder = lookup(env, op)) {
             hash = hashString("%bvar", hash);
-            return hashValue(it->second.back(), hash);
+            return hashValue(*binder, hash);
         }
         // Free variable: semantic payload, hash by name.
     }
@@ -78,9 +86,10 @@ alphaRec(const TermPtr &a, const TermPtr &b, Env &env_a, Env &env_b,
 {
     if (a->arity() != b->arity())
         return false;
-    std::string iv_a, iv_b;
-    bool for_a = isForWithBinder(a->op(), &iv_a);
-    bool for_b = isForWithBinder(b->op(), &iv_b);
+    const OpRecord &record_a = opRecord(a->op());
+    const OpRecord &record_b = opRecord(b->op());
+    bool for_a = isBinder(record_a);
+    bool for_b = isBinder(record_b);
     if (for_a != for_b)
         return false;
     if (for_a) {
@@ -95,28 +104,26 @@ alphaRec(const TermPtr &a, const TermPtr &b, Env &env_a, Env &env_b,
                 return false;
         }
         uint64_t binder = binder_count++;
-        env_a[iv_a].push_back(binder);
-        env_b[iv_b].push_back(binder);
+        env_a.emplace_back(record_a.iv_var, binder);
+        env_b.emplace_back(record_b.iv_var, binder);
         bool ok = alphaRec(a->child(body_index), b->child(body_index),
                            env_a, env_b, binder_count);
-        env_a[iv_a].pop_back();
-        env_b[iv_b].pop_back();
+        env_a.pop_back();
+        env_b.pop_back();
         return ok;
     }
-    auto var_a = decodeVar(a->op());
-    auto var_b = decodeVar(b->op());
-    if (static_cast<bool>(var_a) != static_cast<bool>(var_b))
+    bool var_a = record_a.kind == OpKind::Var;
+    bool var_b = record_b.kind == OpKind::Var;
+    if (var_a != var_b)
         return false;
     if (var_a) {
-        auto it_a = env_a.find(*var_a);
-        auto it_b = env_b.find(*var_b);
-        bool bound_a = it_a != env_a.end() && !it_a->second.empty();
-        bool bound_b = it_b != env_b.end() && !it_b->second.empty();
-        if (bound_a != bound_b)
+        const uint64_t *bound_a = lookup(env_a, a->op());
+        const uint64_t *bound_b = lookup(env_b, b->op());
+        if (!bound_a != !bound_b)
             return false;
         if (bound_a)
-            return it_a->second.back() == it_b->second.back();
-        return *var_a == *var_b; // free: names are payload
+            return *bound_a == *bound_b;
+        return a->op() == b->op(); // free: names are payload
     }
     if (a->op() != b->op())
         return false;

@@ -137,9 +137,11 @@ constHooks()
 {
     AnalysisHooks hooks;
     hooks.parse_const = [](Symbol op) -> std::optional<int64_t> {
-        auto fields = splitSymbol(op);
-        if (fields.size() == 2 && fields[0] == "const")
-            return std::stoll(fields[1]);
+        // "const:<n>": exactly two colon-separated fields.
+        const std::string &text = op.str();
+        if (text.rfind("const:", 0) == 0 &&
+            text.find(':', 6) == std::string::npos)
+            return std::stoll(text.substr(6));
         return std::nullopt;
     };
     return hooks;

@@ -39,12 +39,9 @@ TEST(TermTest, EqualsIsStructural)
 
 TEST(TermTest, SymbolFieldHelpers)
 {
-    auto fields = splitSymbol(Symbol("const:42:i32"));
-    ASSERT_EQ(fields.size(), 3u);
-    EXPECT_EQ(fields[0], "const");
-    EXPECT_EQ(fields[1], "42");
-    EXPECT_EQ(fields[2], "i32");
+    EXPECT_EQ(joinSymbol({"const", "42", "i32"}), Symbol("const:42:i32"));
     EXPECT_EQ(joinSymbol({"a", "b"}).str(), "a:b");
+    EXPECT_EQ(joinSymbol({"nop"}).str(), "nop");
 }
 
 TEST(EGraphTest, HashconsingDeduplicates)
@@ -132,9 +129,11 @@ arithmeticHooks()
 {
     AnalysisHooks hooks;
     hooks.parse_const = [](Symbol op) -> std::optional<int64_t> {
-        auto fields = splitSymbol(op);
-        if (fields.size() == 2 && fields[0] == "const")
-            return std::stoll(fields[1]);
+        // "const:<n>": exactly two colon-separated fields.
+        const std::string &text = op.str();
+        if (text.rfind("const:", 0) == 0 &&
+            text.find(':', 6) == std::string::npos)
+            return std::stoll(text.substr(6));
         return std::nullopt;
     };
     hooks.fold = [](Symbol op, const std::vector<int64_t> &args)

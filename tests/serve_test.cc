@@ -190,7 +190,7 @@ TEST(EvalCache, ConcurrentSessionsShareOneStore)
         threads.emplace_back([&, t] {
             for (uint64_t i = 0; i < 300; ++i) {
                 uint64_t key = (i % 100) * 7919 + t;
-                if (!cache.lookupPass(key, /*count=*/true)) {
+                if (!cache.lookupPass(key, /*count_hit=*/true)) {
                     cache.countMiss();
                     PassOutcome outcome;
                     outcome.status = PassOutcome::Status::Rejected;
@@ -550,6 +550,77 @@ TEST(OptServer, ConcurrentClientsAllSucceedIdentically)
     }
     server.stop();
     EXPECT_EQ(server.counters().requests, kClients);
+}
+
+/** A counter of the external_eval section of a response's stats JSON. */
+uint64_t
+evalCounter(const std::string &stats_json, const std::string &key)
+{
+    size_t section = stats_json.find("\"external_eval\"");
+    size_t at = stats_json.find("\"" + key + "\":", section);
+    EXPECT_NE(section, std::string::npos);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (section == std::string::npos || at == std::string::npos)
+        return 0;
+    return std::stoull(stats_json.substr(at + key.size() + 3));
+}
+
+TEST(OptServer, ConcurrentRequestsCountOnlyTheirOwnTraffic)
+{
+    // Two requests run at once on the daemon's shared store, small
+    // enough to evict. Each must report only its own cache traffic,
+    // so their counters add up to exactly the store's totals.
+    ServerOptions options;
+    options.socket_path = tempPath("tally") + ".sock";
+    options.workers = 2;
+    options.cache_shards = 2;
+    options.cache_max_bytes = 8 * 1024;
+    options.quiet = true;
+    OptServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    constexpr unsigned kClients = 2;
+    std::vector<ServeResponse> responses(kClients);
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < kClients; ++i) {
+        threads.emplace_back([&, i] {
+            ServeRequest request = smallRequest();
+            request.validation_runs = 2 + static_cast<int>(i);
+            request.want_stats = true;
+            responses[i] = roundTrip(options.socket_path, request);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    server.stop();
+
+    ExternalEvalStats totals = server.cache()->stats();
+    const std::vector<std::pair<const char *, uint64_t>> expected = {
+        {"pass_cache_hits", totals.pass_cache_hits},
+        {"pass_cache_misses", totals.pass_cache_misses},
+        {"verify_cache_hits", totals.verify_cache_hits},
+        {"verify_cache_misses", totals.verify_cache_misses},
+        {"candidates_deduped", totals.candidates_deduped},
+        {"evaluations", totals.evaluations},
+        {"batches", totals.batches},
+        {"batch_jobs", totals.batch_jobs},
+        {"pass_evictions", totals.pass_evictions},
+        {"verify_evictions", totals.verify_evictions},
+        {"evicted_bytes", totals.evicted_bytes},
+    };
+    for (const ServeResponse &response : responses)
+        ASSERT_EQ(response.exit_code, 0) << response.error;
+    EXPECT_GT(totals.evaluations, 0u);
+    EXPECT_GT(totals.pass_evictions + totals.verify_evictions, 0u);
+    for (const auto &[key, total] : expected) {
+        uint64_t sum = 0;
+        for (const ServeResponse &response : responses)
+            sum += evalCounter(response.stats_json, key);
+        EXPECT_EQ(sum, total) << key;
+    }
+    EXPECT_EQ(responses[0].evaluations + responses[1].evaluations,
+              totals.evaluations);
 }
 
 TEST(OptServer, MidRequestDisconnectIsContained)
